@@ -926,13 +926,6 @@ let serve_bench_cmd =
   let execute =
     Arg.(value & flag & info [ "exec" ] ~doc:"Also execute each parsed program")
   in
-  let compiled =
-    Arg.(value & opt bool true
-         & info [ "compiled" ]
-             ~doc:"Execute through the bytecode compiler and compiled-program \
-                   cache (default); --compiled=false forces the tree-walking \
-                   interpreter")
-  in
   let seed = Arg.(value & opt int 23 & info [ "seed" ] ~doc:"Traffic random seed") in
   let show =
     Arg.(value & opt int 0 & info [ "show" ] ~doc:"Print the first N responses")
@@ -966,7 +959,7 @@ let serve_bench_cmd =
                    FILE.digest. Without faults, digests must agree across \
                    worker counts (exit 3 otherwise).")
   in
-  let run scale requests workers_csv cache zipf execute compiled seed show
+  let run scale requests workers_csv cache zipf execute seed show
       faults deadline admission retries trace =
     let lib, prims, rules = setup () in
     Printf.printf "training the semantic parser (scale %.2f)...\n%!" scale;
@@ -978,9 +971,9 @@ let serve_bench_cmd =
         (a.Genie_core.Pipeline.synthesized @ a.Genie_core.Pipeline.paraphrases)
     in
     let fault =
-      if faults = "" then Genie_serve.Fault.none
+      if faults = "" then Genie_conc.Fault.none
       else
-        match Genie_serve.Fault.of_string faults with
+        match Genie_conc.Fault.of_string faults with
         | Ok f -> f
         | Error e ->
             Printf.eprintf "bad --faults spec: %s\n" e;
@@ -1001,8 +994,8 @@ let serve_bench_cmd =
     in
     Printf.printf "replaying %d requests over %d distinct utterances (zipf s=%.2f)\n"
       requests distinct zipf;
-    if Genie_serve.Fault.active fault then
-      Printf.printf "fault schedule: %s\n" (Genie_serve.Fault.to_string fault);
+    if Genie_conc.Fault.active fault then
+      Printf.printf "fault schedule: %s\n" (Genie_conc.Fault.to_string fault);
     Printf.printf "%d core(s) available to the runtime\n\n"
       (Domain.recommended_domain_count ());
     let open Genie_serve.Server in
@@ -1024,7 +1017,7 @@ let serve_bench_cmd =
         in
         let server =
           of_artifacts ~workers:w ~cache_capacity:cache ~fault
-            ?admission_capacity ~max_retries:retries ~tracer ~compiled a
+            ?admission_capacity ~max_retries:retries ~tracer a
         in
         let responses = run_batch server reqs in
         let s = stats server in
@@ -1045,7 +1038,7 @@ let serve_bench_cmd =
       (* Fault-free traces must be structurally identical across worker
          counts; under faults, retry interleaving may legitimately move
          cache hits around, so digests are reported but not enforced. *)
-      let strict = not (Genie_serve.Fault.active fault) in
+      let strict = not (Genie_conc.Fault.active fault) in
       let digests =
         List.map
           (fun (w, spans) ->
@@ -1083,8 +1076,7 @@ let serve_bench_cmd =
           traffic, optionally under a seeded fault schedule")
     Term.(
       const run $ scale $ requests $ workers $ cache $ zipf $ execute
-      $ compiled $ seed $ show $ faults $ deadline $ admission $ retries
-      $ trace)
+      $ seed $ show $ faults $ deadline $ admission $ retries $ trace)
 
 (* --- serve / loadgen (network serving) -------------------------------------------- *)
 
@@ -1346,7 +1338,7 @@ let loadgen_cmd =
       end;
       let reqs = Genie_net.Loadgen.expected_requests ~utterances:corpus cfg in
       let server = Genie_serve.Server.of_artifacts ~workers:0 a in
-      let resps = Genie_serve.Server.run_batch ~batched:true server reqs in
+      let resps = Genie_serve.Server.run_batch server reqs in
       Genie_serve.Server.shutdown server;
       let expected = Genie_net.Codec.digest_of_responses resps in
       if expected <> r.digest then begin

@@ -6,8 +6,8 @@
     when the queue holds [batch_max] requests, when the oldest waiting
     request has aged past the batch window, or when the batcher is draining
     (shutdown wants the queue empty, window be damned). One batch then costs
-    one {!Genie_serve.Server.run_batch} call — one pool crossing per worker
-    — instead of a crossing per request.
+    one {!Genie_serve.Server.run_batch} call — the coordinator submits every
+    request to the pool and waits once — instead of a wait per request.
 
     The batcher is a passive, single-owner state machine over an injected
     clock: the daemon drives it from its event loop with real timestamps,

@@ -10,8 +10,8 @@
       draining refusals inline with an [overloaded] response),
     - when a micro-batch comes due — queue at [batch_max], oldest request
       older than the batch window, or draining — takes it and routes it
-      through {!Genie_serve.Server.run_batch}[ ~batched:true], one pool
-      crossing per worker,
+      through one {!Genie_serve.Server.run_batch} call, which serves each
+      request through {!Genie_serve.Engine.process},
     - writes each response frame back on the connection that sent the
       request (client request ids are scoped per connection; the daemon
       renumbers internally and restores the client's id on the way out).

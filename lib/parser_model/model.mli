@@ -1,12 +1,12 @@
 (** The first-class model interface the serving stack is polymorphic over.
 
-    A {!t} is a record of closures — the two prediction entry points plus
-    the identity metadata the serve layer keys caches and stats on — so
+    A {!t} is a record of closures — the prediction entry point plus the
+    identity metadata the serve layer keys caches and stats on — so
     the engine, server and daemon never name a concrete backend. Two
     backends exist: the statistical {!Aligner} (wrapped as-is, responses
     byte-identical to calling it directly) and the neural
-    {!Genie_nn.Seq2seq} (batched greedy decode over the row-parallel
-    tensors, predictions worker-count- and batch-composition-invariant).
+    {!Genie_nn.Seq2seq} (greedy decode over the row-parallel tensors,
+    predictions worker-count-invariant).
 
     Handles are {e not} domain-safe: both backends carry per-handle mutable
     scratch (the aligner's lazily-filled explainer memo, the seq2seq's
@@ -39,20 +39,16 @@ type t = {
   predict : ?scope:Genie_observe.Tracer.scope -> string list -> prediction;
       (** Parses one tokenized sentence. [scope] is forwarded to backends
           that trace (the aligner); others ignore it. *)
-  predict_batch : string list list -> prediction list;
-      (** Batched prediction, one result per sentence in submission order.
-          Byte-identical to mapping {!predict} — batching is a throughput
-          lever, never a semantic one. *)
   fork : unit -> t;
       (** A sibling handle with private mutable scratch and shared
           read-only state; same [kind] and [digest]. *)
 }
 
 val of_aligner : Aligner.t -> t
-(** Wraps a trained aligner. [predict]/[predict_batch] are the aligner's
-    own, so responses are byte-identical to calling it directly; [fork]
-    takes the shallow-copy-with-private-explainer that the serve engine
-    historically took. *)
+(** Wraps a trained aligner. [predict] is the aligner's own, so responses
+    are byte-identical to calling it directly; [fork] takes the
+    shallow-copy-with-private-explainer that the serve engine historically
+    took. *)
 
 val of_seq2seq :
   ?options:Nn_syntax.options ->
@@ -60,10 +56,11 @@ val of_seq2seq :
   lib:Schema.Library.t ->
   Genie_nn.Seq2seq.t ->
   t
-(** Wraps a trained (or checkpoint-restored) seq2seq. Predictions run
-    {!Genie_nn.Seq2seq.decode_batch} on a per-handle scratch arena, then
-    parse the decoded tokens with {!Nn_syntax.of_tokens} under [options]
-    (default {!Nn_syntax.default_options}): a malformed decode yields
+(** Wraps a trained (or checkpoint-restored) seq2seq. A prediction runs
+    {!Genie_nn.Seq2seq.decode_batch} on a one-row batch in a per-handle
+    scratch arena, then parses the decoded tokens with
+    {!Nn_syntax.of_tokens} under [options] (default
+    {!Nn_syntax.default_options}): a malformed decode yields
     [program = None] with the raw tokens still in [nn_tokens]. [score] is
     the decode's summed log-probability. The empty sentence short-circuits
     to {!no_prediction} (the encoder needs at least one position).

@@ -21,6 +21,9 @@ open Genie_thingtalk
 module Tracer = Genie_observe.Tracer
 module Span = Genie_observe.Span
 module Probe = Genie_observe.Probe
+module Fault = Genie_conc.Fault
+module Pool = Genie_conc.Pool
+module Lru = Genie_util.Lru
 
 (* what the degraded path can answer with: a previous successful parse,
    coordinator-owned so no domain sharing *)
@@ -31,16 +34,9 @@ type cached_parse = {
   c_score : float;
 }
 
-(* Pool jobs carry either one request (the per-request path, with its retry
-   ordinal) or a whole admitted group (the micro-batched path): both ride the
-   same persistent domains, so a batched dispatch pays one submit/drain
-   crossing per worker per batch instead of spawning a fresh pool. *)
-type job = One of Request.t * int | Many of Request.t list
-type job_result = R_one of Response.t | R_many of Response.t list
-
 type t = {
   engines : Engine.t array;  (* one per worker; exactly one when sequential *)
-  pool : (job, job_result) Pool.t option;
+  pool : (Request.t * int, Response.t) Pool.t option;  (* (request, attempt) *)
   metrics : Metrics.t;
   workers : int;  (* as configured: 0/1 = sequential *)
   fault : Fault.t;
@@ -48,7 +44,7 @@ type t = {
   degrade : bool;
   max_retries : int;
   retry_backoff_ns : float;
-  degraded_cache : cached_parse Parse_cache.t;  (* coordinator-only *)
+  degraded_cache : cached_parse Lru.t;  (* coordinator-only *)
   tracer : Tracer.t;  (* coordinator records into slot [Array.length engines] *)
   mutable model_digest : string;  (* [Model.digest] of the active model *)
   mutable model_kind : string;  (* [Model.kind] of the active model *)
@@ -107,34 +103,27 @@ let record_drop ~metrics ~tracer ~slot ~id ~attempt =
 let create ~lib ~model ?(cache_capacity = 4096) ?(workers = 0)
     ?(queue_capacity = 64) ?(seed = 0) ?(fault = Fault.none)
     ?admission_capacity ?(degrade = true) ?(max_retries = 2)
-    ?(retry_backoff_ms = 1.0) ?(tracer = Tracer.disabled) ?(compiled = true)
+    ?(retry_backoff_ms = 1.0) ?(tracer = Tracer.disabled)
     ?compile_cache_capacity () =
   let n_engines = max 1 workers in
   let metrics = Metrics.create () in
   let engines =
     Array.init n_engines (fun w ->
         Engine.create ~lib ~model ~cache_capacity ~metrics ~worker:w
-          ~seed:(seed + w) ~fault ~tracer ~compiled ?compile_cache_capacity ())
+          ~seed:(seed + w) ~fault ~tracer ?compile_cache_capacity ())
   in
   let pool =
     if workers >= 2 then
       Some
         (Pool.create ~workers ~queue_capacity
-           ~fault_hook:(fun w job ->
-             match job with
-             | Many _ -> None  (* batched jobs only exist fault-free *)
-             | One ((req : Request.t), attempt) ->
-                 if Fault.drops fault ~id:req.Request.id ~attempt then begin
-                   record_drop ~metrics ~tracer ~slot:w ~id:req.Request.id
-                     ~attempt;
-                   Some Fault.Injected_drop
-                 end
-                 else None)
-           ~handler:(fun w job ->
-             match job with
-             | One (req, attempt) ->
-                 R_one (Engine.process ~attempt engines.(w) req)
-             | Many reqs -> R_many (Engine.process_batch engines.(w) reqs))
+           ~fault_hook:(fun w ((req : Request.t), attempt) ->
+             if Fault.drops fault ~id:req.Request.id ~attempt then begin
+               record_drop ~metrics ~tracer ~slot:w ~id:req.Request.id ~attempt;
+               Some Fault.Injected_drop
+             end
+             else None)
+           ~handler:(fun w (req, attempt) ->
+             Engine.process ~attempt engines.(w) req)
            ())
     else None
   in
@@ -147,7 +136,7 @@ let create ~lib ~model ?(cache_capacity = 4096) ?(workers = 0)
     degrade;
     max_retries;
     retry_backoff_ns = retry_backoff_ms *. 1e6;
-    degraded_cache = Parse_cache.create ~capacity:cache_capacity;
+    degraded_cache = Lru.create ~capacity:cache_capacity;
     tracer;
     model_digest = model.Genie_parser_model.Model.digest;
     model_kind =
@@ -161,12 +150,11 @@ let create ~lib ~model ?(cache_capacity = 4096) ?(workers = 0)
 
 let of_artifacts ?cache_capacity ?workers ?queue_capacity ?seed ?fault
     ?admission_capacity ?degrade ?max_retries ?retry_backoff_ms ?tracer
-    ?compiled ?compile_cache_capacity (a : Genie_core.Pipeline.artifacts) =
+    ?compile_cache_capacity (a : Genie_core.Pipeline.artifacts) =
   create ~lib:a.Genie_core.Pipeline.lib
     ~model:(Genie_parser_model.Model.of_aligner a.Genie_core.Pipeline.model)
     ?cache_capacity ?workers ?queue_capacity ?seed ?fault ?admission_capacity
-    ?degrade ?max_retries ?retry_backoff_ms ?tracer ?compiled
-    ?compile_cache_capacity ()
+    ?degrade ?max_retries ?retry_backoff_ms ?tracer ?compile_cache_capacity ()
 
 (* Requests shard by cache key, not round-robin: every repetition of an
    utterance lands on the same worker, so per-worker caches need no locks
@@ -252,7 +240,7 @@ let failed_response t ~worker (req : Request.t) ~attempts e =
 let degrade_or_shed t ~worker (req : Request.t) =
   let key = Request.cache_key req.Request.utterance in
   match
-    if t.degrade then Parse_cache.find t.degraded_cache key else None
+    if t.degrade then Lru.find t.degraded_cache key else None
   with
   | Some c -> degraded_response t ~worker req c
   | None -> overloaded_response t ~worker req
@@ -260,7 +248,7 @@ let degrade_or_shed t ~worker (req : Request.t) =
 (* feed the degraded cache with every fresh successful parse *)
 let remember t (r : Response.t) =
   if r.Response.status = Response.Ok && not r.Response.degraded then
-    Parse_cache.add t.degraded_cache
+    Lru.add t.degraded_cache
       (Request.cache_key r.Response.utterance)
       { c_program = r.Response.program;
         c_text = r.Response.program_text;
@@ -340,7 +328,7 @@ let run_batch_pooled t pool reqs =
       let w = shard t req in
       if credits.(w) > 0 then begin
         credits.(w) <- credits.(w) - 1;
-        Pool.submit pool ~worker:w (One (req, 0));
+        Pool.submit pool ~worker:w (req, 0);
         incr outstanding
       end
       else collected := degrade_or_shed t ~worker:w req :: !collected)
@@ -351,20 +339,9 @@ let run_batch_pooled t pool reqs =
     let failures = ref [] in
     List.iter
       (function
-        | Stdlib.Ok (R_one r) -> collected := r :: !collected
-        | Stdlib.Ok (R_many rs) ->
-            collected := List.rev_append rs !collected
-        | Stdlib.Error (One (req, attempt), e) ->
-            failures := (req, attempt, e) :: !failures
-        | Stdlib.Error (Many reqs, e) ->
-            (* unreachable on this path (only [One] jobs are submitted), but
-               never lose a request: every member fails definitively *)
-            List.iter
-              (fun (req : Request.t) ->
-                collected :=
-                  failed_response t ~worker:(shard t req) req ~attempts:1 e
-                  :: !collected)
-              reqs)
+        | Stdlib.Ok r -> collected := r :: !collected
+        | Stdlib.Error ((req, attempt), e) ->
+            failures := (req, attempt, e) :: !failures)
       results;
     (* resubmit in id order so each worker sees a deterministic retry
        sequence regardless of cross-worker completion interleaving *)
@@ -393,103 +370,20 @@ let run_batch_pooled t pool reqs =
     if max_backoff > 0.0 && retry <> [] then Unix.sleepf (max_backoff /. 1e9);
     List.iter
       (fun ((req : Request.t), attempt, _) ->
-        Pool.submit pool ~worker:(shard t req) (One (req, attempt + 1));
+        Pool.submit pool ~worker:(shard t req) (req, attempt + 1);
         incr outstanding)
       retry
   done;
   List.iter (remember t) !collected;
   !collected
 
-(* --- batched serving --------------------------------------------------------- *)
-
-(* The batched variants push each worker's admitted requests through
-   [Engine.process_batch], which parses all distinct uncached utterances of
-   the group in one aligner pass. Responses and end-of-batch server state
-   are identical to the per-request paths above:
-
-   - sequential: admission credits run out monotonically, so the admitted
-     requests are exactly a prefix of the batch; processing that prefix
-     first and then degrading/shedding the suffix preserves the interleaved
-     path's degraded-cache visibility (every shed request still sees all
-     parses remembered before it).
-   - pooled: [run_batch_pooled] sheds at submission time, before any worker
-     response is remembered, so the batched variant also degrades/sheds
-     during the admission walk and remembers afterwards.
-
-   Only fault-free servers take these paths — drop injection and the retry
-   policy are specified per sequential attempt — and [Engine.process_batch]
-   itself falls back to its sequential path for traced or deadline-carrying
-   batches. *)
-
-let run_batch_seq_batched t reqs =
-  let cap = match t.admission with Some c -> c | None -> max_int in
-  let rec split n acc = function
-    | rest when n <= 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | r :: rest -> split (n - 1) (r :: acc) rest
-  in
-  let admitted, excess = split cap [] reqs in
-  let rs = Engine.process_batch t.engines.(0) admitted in
-  List.iter (remember t) rs;
-  rs @ List.map (degrade_or_shed t ~worker:0) excess
-
-let run_batch_pooled_batched t pool reqs =
-  let n = Array.length t.engines in
-  let credits = fresh_credits t n in
-  let groups = Array.make n [] in
-  let shed_responses = ref [] in
-  List.iter
-    (fun req ->
-      let w = shard t req in
-      if credits.(w) > 0 then begin
-        credits.(w) <- credits.(w) - 1;
-        groups.(w) <- req :: groups.(w)
-      end
-      else shed_responses := degrade_or_shed t ~worker:w req :: !shed_responses)
-    reqs;
-  (* One [Many] job per engine on the persistent pool: each engine is still
-     driven from exactly one domain, and the whole micro-batch pays a single
-     submit/drain crossing per worker — no per-batch domain spawns. *)
-  let outstanding = ref 0 in
-  Array.iteri
-    (fun w g ->
-      if g <> [] then begin
-        Pool.submit pool ~worker:w (Many (List.rev g));
-        incr outstanding
-      end)
-    groups;
-  let responses = ref [] in
-  if !outstanding > 0 then
-    List.iter
-      (function
-        | Stdlib.Ok (R_many rs) -> responses := List.rev_append rs !responses
-        | Stdlib.Ok (R_one r) -> responses := r :: !responses
-        | Stdlib.Error (Many reqs, e) ->
-            (* batched jobs run fault-free, so a worker exception here is a
-               real bug; still answer every request exactly once *)
-            List.iter
-              (fun (req : Request.t) ->
-                responses :=
-                  failed_response t ~worker:(shard t req) req ~attempts:1 e
-                  :: !responses)
-              reqs
-        | Stdlib.Error (One (req, _), e) ->
-            responses :=
-              failed_response t ~worker:(shard t req) req ~attempts:1 e
-              :: !responses)
-      (Pool.drain_results pool !outstanding);
-  List.iter (remember t) !responses;
-  !responses @ !shed_responses
-
-let run_batch ?(batched = false) t reqs =
+(* [batched] is accepted and ignored: see server.mli. *)
+let run_batch ?batched:_ t reqs =
   let t0 = Unix.gettimeofday () in
-  let batched = batched && Fault.spec t.fault = Fault.spec Fault.none in
   let responses =
     match t.pool with
-    | None -> if batched then run_batch_seq_batched t reqs else run_batch_seq t reqs
-    | Some pool ->
-        if batched then run_batch_pooled_batched t pool reqs
-        else run_batch_pooled t pool reqs
+    | None -> run_batch_seq t reqs
+    | Some pool -> run_batch_pooled t pool reqs
   in
   let dt = Unix.gettimeofday () -. t0 in
   let n_reqs = List.length reqs in
@@ -508,10 +402,10 @@ let stats (t : t) =
     Array.fold_left
       (fun (h, mi, e, n) engine ->
         let s = Engine.cache_stats engine in
-        ( h + s.Parse_cache.hits,
-          mi + s.Parse_cache.misses,
-          e + s.Parse_cache.evictions,
-          n + s.Parse_cache.entries ))
+        ( h + s.Lru.hits,
+          mi + s.Lru.misses,
+          e + s.Lru.evictions,
+          n + s.Lru.entries ))
       (0, 0, 0, 0) t.engines
   in
   let chits, cmisses, cevictions, centries =
@@ -586,7 +480,7 @@ let swap_model t (model : Genie_parser_model.Model.t) =
     let old = t.model_digest in
     let t0 = Tracer.now_ns () in
     Array.iter (fun e -> Engine.swap_model e model) t.engines;
-    Parse_cache.clear t.degraded_cache;
+    Lru.clear t.degraded_cache;
     Probe.incr probe Probe.Swap_cache_clear;
     t.model_digest <- d;
     t.model_kind <-

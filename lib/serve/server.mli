@@ -7,19 +7,20 @@
     [workers <= 1] (the default) is the {e sequential} path: no domains are
     spawned and every request runs on the calling domain in submission
     order — fully deterministic, the configuration the test suite uses.
-    [workers >= 2] spawns a {!Pool} and shards requests across workers by
-    cache key, so each worker's private cache and runtime see a stable
-    partition of the key space and a pooled run performs exactly the same
-    set of model decodes as a sequential run. The server is polymorphic
-    over {!Genie_parser_model.Model}: aligner and seq2seq backends serve
-    through the same engines, caches and swap machinery.
+    [workers >= 2] spawns a {!Genie_conc.Pool} and shards requests across
+    workers by cache key, so each worker's private cache and runtime see a
+    stable partition of the key space and a pooled run performs exactly the
+    same set of model decodes as a sequential run. Both paths serve every
+    request through {!Engine.process}, one request per call. The server is
+    polymorphic over {!Genie_parser_model.Model}: aligner and seq2seq
+    backends serve through the same engines, caches and swap machinery.
 
     Failure semantics: every submitted request gets exactly one response —
     [Ok], [No_parse], [Timeout] (deadline expired), [Overloaded] (shed at
     admission) or [Error] (exception / retries exhausted) — and lands in
-    exactly one of the metrics outcome counters. Under a {!Fault} schedule
-    every decision is a deterministic function of the schedule's seed and
-    the request ids. *)
+    exactly one of the metrics outcome counters. Under a
+    {!Genie_conc.Fault} schedule every decision is a deterministic function
+    of the schedule's seed and the request ids. *)
 
 open Genie_thingtalk
 
@@ -70,24 +71,24 @@ val create :
   ?workers:int ->
   ?queue_capacity:int ->
   ?seed:int ->
-  ?fault:Fault.t ->
+  ?fault:Genie_conc.Fault.t ->
   ?admission_capacity:int ->
   ?degrade:bool ->
   ?max_retries:int ->
   ?retry_backoff_ms:float ->
   ?tracer:Genie_observe.Tracer.t ->
-  ?compiled:bool ->
   ?compile_cache_capacity:int ->
   unit ->
   t
 (** Defaults: [cache_capacity] 4096 (per worker), [workers] 0 (sequential),
-    [queue_capacity] 64 per worker, [seed] 0, [fault] {!Fault.none},
-    [admission_capacity] unlimited, [degrade] true, [max_retries] 2,
-    [retry_backoff_ms] 1, [tracer] {!Genie_observe.Tracer.disabled},
-    [compiled] true (execute requests run through {!Genie_runtime.Compile}
-    with a per-worker compiled-program LRU — byte-identical responses to
-    the tree-walking interpreter), [compile_cache_capacity] =
-    [cache_capacity].
+    [queue_capacity] 64 per worker, [seed] 0, [fault]
+    {!Genie_conc.Fault.none}, [admission_capacity] unlimited, [degrade]
+    true, [max_retries] 2, [retry_backoff_ms] 1, [tracer]
+    {!Genie_observe.Tracer.disabled}, [compile_cache_capacity] =
+    [cache_capacity]. Execute requests always run through
+    {!Genie_runtime.Compile} with a per-worker compiled-program LRU; the
+    results are byte-identical to the reference interpreter
+    {!Genie_runtime.Exec.run}.
 
     [admission_capacity] bounds how many requests each worker accepts per
     {!run_batch} call; excess requests are answered from the degraded cache
@@ -105,13 +106,12 @@ val of_artifacts :
   ?workers:int ->
   ?queue_capacity:int ->
   ?seed:int ->
-  ?fault:Fault.t ->
+  ?fault:Genie_conc.Fault.t ->
   ?admission_capacity:int ->
   ?degrade:bool ->
   ?max_retries:int ->
   ?retry_backoff_ms:float ->
   ?tracer:Genie_observe.Tracer.t ->
-  ?compiled:bool ->
   ?compile_cache_capacity:int ->
   Genie_core.Pipeline.artifacts ->
   t
@@ -129,16 +129,9 @@ val run_batch : ?batched:bool -> t -> Request.t list -> Response.t list
     request id. Also records the batch's wall-clock time for {!stats}'s
     throughput.
 
-    With [~batched:true] (default false) each worker's admitted requests go
-    through {!Engine.process_batch}, which parses all distinct uncached
-    utterances in one batched model pass; responses and end-of-batch
-    server state are identical to the per-request path. On a pooled server
-    the whole group rides the persistent worker domains as one job per
-    engine — a single pool crossing per worker per batch, which is what the
-    network front end's micro-batched admission amortizes. The flag is
-    ignored when the server carries a fault schedule (fault semantics are
-    specified per sequential attempt), and traced or deadline-carrying
-    batches fall back engine-side. *)
+    [batched] is deprecated and ignored. It is kept only so the repository
+    benchmark (perfbench/), which still passes it, compiles unchanged; the
+    next change to that benchmark removes it. Nothing else may pass it. *)
 
 val swap_model :
   t ->

@@ -209,6 +209,8 @@ type shard_out = {
   out_attempts : int;
   out_hits : int;
   out_misses : int;
+  out_start_ns : float;  (* wall clock of the attempt that produced this *)
+  out_dur_ns : float;
 }
 
 (* One shard: sample [rule] at [depth] against the read-only tables built
@@ -220,6 +222,7 @@ type shard_out = {
    transparent. *)
 let run_shard ~use_cache (tbl : table) (seen : Dedup.t) (cfg : config)
     (rule : Grammar.rule) ~depth ~rule_i : shard_out =
+  let start_ns = Genie_observe.Tracer.now_ns () in
   let rng = Genie_util.Rng.create (shard_seed ~seed:cfg.seed ~depth ~rule_i) in
   let budget =
     Genie_util.Rng.budget_for_depth ~target:cfg.target_per_rule ~depth:(depth - 1)
@@ -278,11 +281,14 @@ let run_shard ~use_cache (tbl : table) (seen : Dedup.t) (cfg : config)
   { out_accepted = List.rev !accepted;
     out_attempts = !attempt;
     out_hits = !hits;
-    out_misses = !misses }
+    out_misses = !misses;
+    out_start_ns = start_ns;
+    out_dur_ns = Genie_observe.Tracer.now_ns () -. start_ns }
 
 (* With a tracer, each depth gets a span (request = depth) with one child
    per construct template recording accepted/attempted counts and shard
-   cache statistics, a [merge] child recording kept/deduped counts, and one
+   cache statistics, timed by the shard attempt that produced them, a
+   [merge] child recording kept/deduped counts, and one
    [shard.retry] child per injected-fault retry (sorted by (shard, attempt)
    so the trace is independent of completion order). Span identity is
    (tracer seed, depth, seq, name), so seeded corpus runs trace identically
@@ -402,9 +408,7 @@ let synthesize_derivations_stats ?(tracer = Genie_observe.Tracer.disabled)
                    ("attempts", string_of_int out.out_attempts);
                    ("cache_hits", string_of_int out.out_hits);
                    ("cache_misses", string_of_int out.out_misses) ]
-               ~start_ns:depth_start
-               ~dur_ns:(now () -. depth_start)
-               "template"))
+               ~start_ns:out.out_start_ns ~dur_ns:out.out_dur_ns "template"))
       indexed outs;
     if Tracer.enabled tracer then begin
       Tracer.record tracer ~slot:0

@@ -645,7 +645,7 @@ let test_differential_swap_across_pools () =
 
 let test_differential_swap_under_faults () =
   let fault =
-    match Fault.of_string "seed=7,crash=0.2,crash_attempts=1,drop=0.1" with
+    match Genie_conc.Fault.of_string "seed=7,crash=0.2,crash_attempts=1,drop=0.1" with
     | Ok f -> f
     | Error e -> Alcotest.failf "fault spec: %s" e
   in

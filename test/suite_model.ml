@@ -77,12 +77,15 @@ let test_aligner_behind_interface () =
         (pred_essence (Aligner.predict al toks))
         (pred_essence (m.Model.predict toks)))
     token_lists;
+  (* the aligner's own batch entry point (used by Eval) agrees with the
+     per-sentence predict served through the interface *)
   List.iter2
-    (fun direct through ->
-      Alcotest.(check string) "batch matches direct" (pred_essence direct)
-        (pred_essence through))
+    (fun batched toks ->
+      Alcotest.(check string) "Aligner.predict_batch row = Model.predict"
+        (pred_essence batched)
+        (pred_essence (m.Model.predict toks)))
     (Aligner.predict_batch al token_lists)
-    (m.Model.predict_batch token_lists);
+    token_lists;
   (* fork: same identity, same answers, private scratch *)
   let f = m.Model.fork () in
   Alcotest.(check string) "fork digest" m.Model.digest f.Model.digest;
@@ -210,32 +213,30 @@ let test_seq2seq_behind_interface () =
   Alcotest.(check string) "kind" "seq2seq" (Model.kind_to_string m.Model.kind);
   Alcotest.(check string) "digest is the weight digest"
     (Seq2seq.weight_digest nn) m.Model.digest;
-  (* predict == predict_batch row, fork answers identically *)
+  (* predict carries the tokens and score of a batched decode's row (every
+     row here is non-empty), and a fork answers identically *)
   let f = m.Model.fork () in
   Alcotest.(check string) "fork digest" m.Model.digest f.Model.digest;
-  let batch = m.Model.predict_batch token_lists in
+  let decoded = Seq2seq.decode_batch ~max_len:24 nn token_lists in
   List.iter2
-    (fun toks p ->
-      Alcotest.(check string) "predict == batch row"
-        (pred_essence (m.Model.predict toks))
-        (pred_essence p);
+    (fun toks (out, logp) ->
+      let p = m.Model.predict toks in
+      Alcotest.(check (list string)) "predict tokens == decode_batch row" out
+        p.Model.nn_tokens;
+      Alcotest.(check int64) "predict score == decode_batch row"
+        (Int64.bits_of_float logp)
+        (Int64.bits_of_float p.Model.score);
       Alcotest.(check string) "fork == original"
         (pred_essence (f.Model.predict toks))
         (pred_essence p);
       (* a decode either parses or is carried raw; either way it decoded *)
       Alcotest.(check bool) "score is finite" true
         (Float.is_finite p.Model.score))
-    token_lists batch;
+    token_lists decoded;
   (* the empty sentence short-circuits (no encoder positions) *)
   let p = m.Model.predict [] in
   Alcotest.(check string) "empty input" (pred_essence Model.no_prediction)
-    (pred_essence p);
-  (match m.Model.predict_batch [ [ "tweet"; "alice" ]; []; [ "tweet"; "bob" ] ] with
-  | [ _; p; _ ] ->
-      Alcotest.(check string) "empty row in a batch"
-        (pred_essence Model.no_prediction)
-        (pred_essence p)
-  | _ -> Alcotest.fail "batch arity")
+    (pred_essence p)
 
 (* --- seq2seq end-to-end serving ----------------------------------------------------- *)
 
@@ -261,7 +262,7 @@ let serve_essences ?fault ~workers model n =
   let out = ref [] in
   for b = 0 to 2 do
     let reqs = List.init n (fun i -> request ((b * n) + i)) in
-    out := !out @ List.map essence (Server.run_batch ~batched:true server reqs)
+    out := !out @ List.map essence (Server.run_batch server reqs)
   done;
   let kind = Server.model_kind server in
   Server.shutdown server;
@@ -288,7 +289,7 @@ let test_seq2seq_serve_fault_invariance () =
   let n = List.length utterances in
   let base, _ = serve_essences ~workers:0 model n in
   let fault =
-    match Fault.of_string "seed=7,crash=0.2,crash_attempts=1,drop=0.1" with
+    match Genie_conc.Fault.of_string "seed=7,crash=0.2,crash_attempts=1,drop=0.1" with
     | Ok f -> f
     | Error e -> Alcotest.failf "fault spec: %s" e
   in
@@ -381,7 +382,7 @@ let test_checkpoint_swap_differential () =
           for b = 0 to 2 do
             List.iter
               (check_against ga "old-model")
-              (Server.run_batch ~batched:true server
+              (Server.run_batch server
                  (List.init n (fun i -> request ((b * n) + i))))
           done;
           (match Server.swap_model server mb with
@@ -390,7 +391,7 @@ let test_checkpoint_swap_differential () =
           for b = 3 to 5 do
             List.iter
               (check_against gb "new-model")
-              (Server.run_batch ~batched:true server
+              (Server.run_batch server
                  (List.init n (fun i -> request ((b * n) + i))))
           done;
           let s = Server.stats server in

@@ -4,7 +4,7 @@
    (every admitted request answered exactly once, at several pool sizes),
    and the full daemon + client + loadgen path over loopback — whose
    response stream must be digest-identical to an in-process
-   [Server.run_batch ~batched:true] on the same requests.
+   [Server.run_batch] on the same requests.
 
    Everything socket-free is driven by injected clocks and fake fds so it
    is exactly reproducible; the loopback tests use a single connection
@@ -51,8 +51,8 @@ let utterances =
 let utterance i = List.nth utterances (i mod List.length utterances)
 let request i = Request.make ~id:i (utterance i)
 
-let mk_server ?tracer ?(workers = 0) () =
-  Server.create ~lib ~model:(Lazy.force model) ~workers ?tracer ()
+let mk_server ?tracer ?(workers = 0) ?(model = Lazy.force model) () =
+  Server.create ~lib ~model ~workers ?tracer ()
 
 (* pool sizes exercised by the drain tests; CI legs override via
    GENIE_TEST_WORKERS, the sequential reference is always included *)
@@ -491,7 +491,7 @@ let test_batcher_histogram () =
 (* --- graceful drain: every admitted request answered exactly once -------------- *)
 
 (* The daemon's drain loop, deterministically: a virtual clock drives the
-   batcher, [Server.run_batch ~batched:true] serves each taken batch, and
+   batcher, [Server.run_batch] serves each taken batch, and
    drain begins while the queue still holds most of the requests. *)
 let drain_exactly_once workers () =
   let server = mk_server ~workers () in
@@ -510,7 +510,7 @@ let drain_exactly_once workers () =
       (fun (r : Response.t) ->
         Hashtbl.replace answered r.Response.id
           (1 + Option.value ~default:0 (Hashtbl.find_opt answered r.Response.id)))
-      (Server.run_batch ~batched:true server reqs)
+      (Server.run_batch server reqs)
   in
   (* one full batch dispatches before shutdown arrives *)
   dispatch 100.0;
@@ -538,9 +538,9 @@ let drain_exactly_once workers () =
 
 (* --- loopback: daemon + client ------------------------------------------------ *)
 
-let with_daemon ?tracer ?tracer_slot ?(workers = 0) ?(config = Daemon.default_config)
-    f =
-  let server = mk_server ?tracer ~workers () in
+let with_daemon ?tracer ?tracer_slot ?(workers = 0) ?model
+    ?(config = Daemon.default_config) f =
+  let server = mk_server ?tracer ~workers ?model () in
   let d = Daemon.create ?tracer ?tracer_slot ~server config in
   let dom = Domain.spawn (fun () -> Daemon.run d) in
   let finish () =
@@ -558,10 +558,10 @@ let with_daemon ?tracer ?tracer_slot ?(workers = 0) ?(config = Daemon.default_co
 let test_loopback_digest_matches_in_process () =
   let n = 24 in
   let reqs = List.init n request in
-  (* ground truth: the in-process batched path *)
+  (* ground truth: the in-process path *)
   let expected =
     let server = mk_server () in
-    let resps = Server.run_batch ~batched:true server reqs in
+    let resps = Server.run_batch server reqs in
     Server.shutdown server;
     Codec.digest_of_responses resps
   in
@@ -591,6 +591,57 @@ let test_loopback_digest_matches_in_process () =
       Alcotest.(check int) "nothing shed" 0 s.Daemon.shed;
       Alcotest.(check int) "nothing dropped" 0 s.Daemon.dropped_responses)
     worker_counts
+
+(* Regression: a cache miss's reported latency must include its decode.
+   The model below sleeps [decode_s] in every predict, so each miss served
+   over the socket has to report at least that much; cache hits never
+   reach the model and must not be charged for it. *)
+let test_loopback_latency_includes_decode () =
+  let decode_s = 0.01 in
+  let rec slow (m : Genie_parser_model.Model.t) =
+    { m with
+      Genie_parser_model.Model.predict =
+        (fun ?scope toks ->
+          Unix.sleepf decode_s;
+          m.Genie_parser_model.Model.predict ?scope toks);
+      fork = (fun () -> slow (m.Genie_parser_model.Model.fork ())) }
+  in
+  let model = slow (Lazy.force model) in
+  (* every utterance twice: the first sighting misses, the second hits *)
+  let n = 2 * List.length utterances in
+  List.iter
+    (fun workers ->
+      ignore
+        (with_daemon ~workers ~model (fun d ->
+             let c = Client.connect ~port:(Daemon.port d) () in
+             List.iter (fun i -> Client.send_request c (request i)) (List.init n Fun.id);
+             let got = List.init n (fun _ -> Client.recv_response c) in
+             Client.close c;
+             let misses, hits =
+               List.partition (fun r -> not r.Codec.rs_from_cache) got
+             in
+             Alcotest.(check int) "one miss per utterance"
+               (List.length utterances) (List.length misses);
+             Alcotest.(check int) "one hit per repeat" (List.length utterances)
+               (List.length hits);
+             List.iter
+               (fun r ->
+                 if r.Codec.rs_total_ns < decode_s *. 1e9 then
+                   Alcotest.failf
+                     "workers=%d: miss #%d reports %.3f ms, below its %.0f ms \
+                      decode"
+                     workers r.Codec.rs_id (r.Codec.rs_total_ns /. 1e6)
+                     (decode_s *. 1e3))
+               misses;
+             List.iter
+               (fun r ->
+                 if r.Codec.rs_total_ns >= decode_s *. 1e9 then
+                   Alcotest.failf
+                     "workers=%d: hit #%d reports %.3f ms, charged for a \
+                      decode it never ran"
+                     workers r.Codec.rs_id (r.Codec.rs_total_ns /. 1e6))
+               hits)))
+    [ 0; 2 ]
 
 let test_loopback_drain_mid_stream_exactly_once () =
   List.iter
@@ -806,5 +857,7 @@ let suite =
     Alcotest.test_case "loopback: protocol error kills connection" `Quick
       test_loopback_protocol_error_kills_connection;
     Alcotest.test_case "loopback: probes and spans" `Quick test_loopback_observability;
+    Alcotest.test_case "loopback: miss latency includes decode" `Quick
+      test_loopback_latency_includes_decode;
     Alcotest.test_case "server: cumulative throughput" `Quick
       test_cumulative_throughput ]

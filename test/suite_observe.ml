@@ -16,6 +16,7 @@ module Span = Genie_observe.Span
 module Tracer = Genie_observe.Tracer
 module Export = Genie_observe.Export
 module Probe = Genie_observe.Probe
+module Fault = Genie_conc.Fault
 
 let lib = Genie_thingpedia.Thingpedia.core_library ()
 let parse = Parser.parse_program
@@ -473,6 +474,53 @@ let test_synthesis_trace_deterministic () =
           (Some depth_id) sp.Span.parent)
     spans1
 
+(* Each template span times its own shard, not the depth so far: at
+   workers 0 the shards run one after another inside their depth, so a
+   depth's template durations sum to at most its depth span (1 ms of clock
+   slack). *)
+let test_synthesis_template_spans_fit_depth () =
+  let prims = Genie_thingpedia.Thingpedia.core_templates () in
+  let rules = Genie_templates.Rules_thingtalk.rules lib in
+  let g =
+    Genie_templates.Grammar.create lib ~prims ~rules
+      ~rng:(Genie_util.Rng.create 5) ()
+  in
+  let tracer = Tracer.create ~seed:7 ~capacity:65536 ~slots:1 () in
+  ignore
+    (Genie_synthesis.Engine.synthesize ~tracer g
+       { Genie_synthesis.Engine.default_config with
+         seed = 5;
+         target_per_rule = 20;
+         max_depth = 3 });
+  let spans = Tracer.spans tracer in
+  let depths =
+    List.filter (fun (sp : Span.t) -> sp.Span.name = "depth") spans
+  in
+  Alcotest.(check int) "three depths" 3 (List.length depths);
+  List.iter
+    (fun (d : Span.t) ->
+      let templates =
+        List.filter
+          (fun (sp : Span.t) ->
+            sp.Span.name = "template" && sp.Span.parent = Some d.Span.id)
+          spans
+      in
+      Alcotest.(check bool) "templates recorded" true (templates <> []);
+      let sum =
+        List.fold_left (fun acc (sp : Span.t) -> acc +. sp.Span.dur_ns) 0.0
+          templates
+      in
+      if sum > d.Span.dur_ns +. 1e6 then
+        Alcotest.failf
+          "depth %d: template spans sum to %.3f ms, its depth span is %.3f ms"
+          d.Span.request (sum /. 1e6) (d.Span.dur_ns /. 1e6);
+      List.iter
+        (fun (sp : Span.t) ->
+          Alcotest.(check bool) "template starts inside its depth" true
+            (sp.Span.start_ns >= d.Span.start_ns))
+        templates)
+    depths
+
 let suite =
   [ Alcotest.test_case "span identity" `Quick test_span_identity;
     Alcotest.test_case "tracer ring overflow" `Quick test_tracer_ring_overflow;
@@ -499,4 +547,6 @@ let suite =
     Alcotest.test_case "jsonl shape" `Quick test_jsonl_shape;
     Alcotest.test_case "flame self time" `Quick test_flame_self_time;
     Alcotest.test_case "synthesis trace deterministic" `Quick
-      test_synthesis_trace_deterministic ]
+      test_synthesis_trace_deterministic;
+    Alcotest.test_case "synthesis template spans fit their depth" `Quick
+      test_synthesis_template_spans_fit_depth ]

@@ -15,6 +15,8 @@
 
 open Genie_thingtalk
 open Genie_serve
+open Genie_conc
+module Lru = Genie_util.Lru
 
 let lib = Genie_thingpedia.Thingpedia.core_library ()
 let parse = Parser.parse_program
@@ -76,39 +78,39 @@ let cross_path_digest (r : Response.t) =
 (* --- parse cache -------------------------------------------------------------- *)
 
 let test_lru_eviction_order () =
-  let c = Parse_cache.create ~capacity:2 in
-  Parse_cache.add c "a" 1;
-  Parse_cache.add c "b" 2;
-  Alcotest.(check (list string)) "mru order" [ "b"; "a" ] (Parse_cache.keys_mru c);
+  let c = Lru.create ~capacity:2 in
+  Lru.add c "a" 1;
+  Lru.add c "b" 2;
+  Alcotest.(check (list string)) "mru order" [ "b"; "a" ] (Lru.keys_mru c);
   (* touching [a] protects it; adding [c] evicts [b] *)
-  Alcotest.(check (option int)) "hit a" (Some 1) (Parse_cache.find c "a");
-  Parse_cache.add c "c" 3;
-  Alcotest.(check (list string)) "b evicted" [ "c"; "a" ] (Parse_cache.keys_mru c);
-  Alcotest.(check bool) "b gone" false (Parse_cache.mem c "b");
-  let s = Parse_cache.stats c in
-  Alcotest.(check int) "one eviction" 1 s.Parse_cache.evictions;
-  Alcotest.(check int) "one hit" 1 s.Parse_cache.hits
+  Alcotest.(check (option int)) "hit a" (Some 1) (Lru.find c "a");
+  Lru.add c "c" 3;
+  Alcotest.(check (list string)) "b evicted" [ "c"; "a" ] (Lru.keys_mru c);
+  Alcotest.(check bool) "b gone" false (Lru.mem c "b");
+  let s = Lru.stats c in
+  Alcotest.(check int) "one eviction" 1 s.Lru.evictions;
+  Alcotest.(check int) "one hit" 1 s.Lru.hits
 
 let test_lru_capacity_one () =
-  let c = Parse_cache.create ~capacity:1 in
-  Parse_cache.add c "a" 1;
-  Alcotest.(check (option int)) "a cached" (Some 1) (Parse_cache.find c "a");
-  Parse_cache.add c "b" 2;
-  Alcotest.(check bool) "a evicted" false (Parse_cache.mem c "a");
-  Alcotest.(check (option int)) "b cached" (Some 2) (Parse_cache.find c "b");
-  Alcotest.(check int) "length" 1 (Parse_cache.length c);
+  let c = Lru.create ~capacity:1 in
+  Lru.add c "a" 1;
+  Alcotest.(check (option int)) "a cached" (Some 1) (Lru.find c "a");
+  Lru.add c "b" 2;
+  Alcotest.(check bool) "a evicted" false (Lru.mem c "a");
+  Alcotest.(check (option int)) "b cached" (Some 2) (Lru.find c "b");
+  Alcotest.(check int) "length" 1 (Lru.length c);
   (* re-adding the resident key must not evict it *)
-  Parse_cache.add c "b" 20;
-  Alcotest.(check (option int)) "replaced in place" (Some 20) (Parse_cache.find c "b");
-  Alcotest.(check int) "single eviction" 1 (Parse_cache.stats c).Parse_cache.evictions
+  Lru.add c "b" 20;
+  Alcotest.(check (option int)) "replaced in place" (Some 20) (Lru.find c "b");
+  Alcotest.(check int) "single eviction" 1 (Lru.stats c).Lru.evictions
 
 let test_lru_capacity_zero () =
-  let c = Parse_cache.create ~capacity:0 in
-  Parse_cache.add c "a" 1;
-  Alcotest.(check (option int)) "nothing stored" None (Parse_cache.find c "a");
-  Alcotest.(check (option int)) "still nothing" None (Parse_cache.find c "a");
-  Alcotest.(check int) "empty" 0 (Parse_cache.length c);
-  Alcotest.(check int) "two misses" 2 (Parse_cache.stats c).Parse_cache.misses
+  let c = Lru.create ~capacity:0 in
+  Lru.add c "a" 1;
+  Alcotest.(check (option int)) "nothing stored" None (Lru.find c "a");
+  Alcotest.(check (option int)) "still nothing" None (Lru.find c "a");
+  Alcotest.(check int) "empty" 0 (Lru.length c);
+  Alcotest.(check int) "two misses" 2 (Lru.stats c).Lru.misses
 
 (* --- cached parse is byte-identical to a cold parse ----------------------------- *)
 
@@ -870,33 +872,81 @@ let exec_requests n seed =
         ~id:r.Request.id r.Request.utterance)
     (Traffic.generate ~rng:(Genie_util.Rng.create seed) ~utterances:utterances n)
 
+(* The reference for served execution: the tree-walking interpreter
+   [Exec.run] on an env seeded like the serving engine's (engine [w] of a
+   seed-0 server seeds its env with [w]), fed the programs that engine
+   executed in the order it executed them. A sequential server resolves
+   each request, retries included, before the next; a pooled one executes
+   retry round by retry round, ids ascending within a round. Only the
+   attempt that answered ran its program: crashes and drops strike before
+   execution, and shed, degraded and retry-exhausted answers carry no
+   program. Returns the executed responses' [exec_digest]s as served and as
+   the oracle computes them. *)
+let served_vs_oracle ~workers requests (rs : Response.t list) =
+  let ticks = Hashtbl.create 64 in
+  List.iter
+    (fun (q : Request.t) -> Hashtbl.replace ticks q.Request.id q.Request.ticks)
+    requests;
+  let executed =
+    List.filter
+      (fun (r : Response.t) ->
+        r.Response.attempts > 0 && (not r.Response.degraded)
+        && Option.is_some r.Response.program)
+      rs
+  in
+  let order (a : Response.t) (b : Response.t) =
+    if workers >= 2 then
+      compare (a.Response.attempts, a.Response.id) (b.Response.attempts, b.Response.id)
+    else compare a.Response.id b.Response.id
+  in
+  let envs = Hashtbl.create 4 in
+  let env w =
+    match Hashtbl.find_opt envs w with
+    | Some e -> e
+    | None ->
+        let e = Genie_runtime.Exec.create ~seed:w lib in
+        Hashtbl.replace envs w e;
+        e
+  in
+  let oracle = Hashtbl.create 64 in
+  List.iter
+    (fun (r : Response.t) ->
+      let p = Option.get r.Response.program in
+      let notifications, side_effects, error =
+        match
+          Genie_runtime.Exec.run ~ticks:(Hashtbl.find ticks r.Response.id)
+            (env r.Response.worker) p
+        with
+        | ns, fx -> (List.length ns, List.length fx, None)
+        | exception e -> (0, 0, Some (Printexc.to_string e))
+      in
+      Hashtbl.replace oracle r.Response.id
+        (exec_digest { r with Response.notifications; side_effects; error }))
+    (List.sort order executed);
+  ( List.map exec_digest executed,
+    List.map (fun (r : Response.t) -> Hashtbl.find oracle r.Response.id) executed )
+
 (* Compiled execution (bytecode + compiled-program cache) must be
-   observationally identical to the tree-walking interpreter: same statuses,
-   same notification/side-effect counts, same errors — sequential or pooled,
-   at every worker count. *)
+   observationally identical to the tree-walking interpreter: same
+   notification/side-effect counts, same errors — sequential or pooled, at
+   every worker count. *)
 let test_compiled_matches_interpreted () =
   let model = Lazy.force model in
   let requests = exec_requests 40 41 in
-  let run ~workers ~compiled () =
-    let server = Server.create ~lib ~model ~workers ~queue_capacity:16 ~compiled () in
-    let rs = Server.run_batch server requests in
-    check_invariant server;
-    let s = Server.stats server in
-    Server.shutdown server;
-    (List.map exec_digest rs, s)
-  in
   List.iter
     (fun workers ->
-      let interp, si = run ~workers ~compiled:false () in
-      let comp, sc = run ~workers ~compiled:true () in
+      let server = Server.create ~lib ~model ~workers ~queue_capacity:16 () in
+      let rs = Server.run_batch server requests in
+      check_invariant server;
+      let sc = Server.stats server in
+      Server.shutdown server;
+      let served, oracle = served_vs_oracle ~workers requests rs in
+      Alcotest.(check int) "every request executed" (List.length requests)
+        (List.length served);
       Alcotest.(check (list string))
         (Printf.sprintf "compiled = interpreted at %d workers" workers)
-        interp comp;
-      (* the interpreter path never touches the compiled-program cache *)
-      Alcotest.(check int) "interpreter: no compile lookups" 0
-        (si.Server.compile_hits + si.Server.compile_misses);
-      (* the compiled path looks up once per execution and compiles only
-         distinct programs *)
+        oracle served;
+      (* one compile lookup per execution; only distinct programs compile *)
       Alcotest.(check int) "one compile lookup per execution" sc.Server.exec_runs
         (sc.Server.compile_hits + sc.Server.compile_misses);
       Alcotest.(check bool) "distinct programs compiled once" true
@@ -905,32 +955,32 @@ let test_compiled_matches_interpreted () =
         (sc.Server.compile_hits > 0))
     [ 0; 1; 2; 4 ]
 
-(* The same equivalence must survive the robustness layer: a seeded fault
-   schedule (crashes + drops + retries) makes the same decisions whether the
-   engines execute compiled or interpreted, so responses stay identical. *)
+(* The same equivalence must survive the robustness layer: under a seeded
+   fault schedule (crashes + drops + retries) the answering attempts'
+   executions still match the interpreter replayed in execution order. *)
 let test_compiled_matches_interpreted_under_faults () =
   let model = Lazy.force model in
   let requests = exec_requests 40 43 in
-  let run ~workers ~compiled () =
-    let server =
-      Server.create ~lib ~model ~workers ~queue_capacity:8
-        ~fault:(Lazy.force mixed_fault) ~max_retries:3 ~retry_backoff_ms:0.01
-        ~compiled ()
-    in
-    let rs = Server.run_batch server requests in
-    check_invariant server;
-    Server.shutdown server;
-    List.map exec_digest rs
-  in
   List.iter
     (fun workers ->
+      let server =
+        Server.create ~lib ~model ~workers ~queue_capacity:8
+          ~fault:(Lazy.force mixed_fault) ~max_retries:3 ~retry_backoff_ms:0.01 ()
+      in
+      let rs = Server.run_batch server requests in
+      check_invariant server;
+      let s = Server.stats server in
+      Server.shutdown server;
+      Alcotest.(check bool) "the schedule forced retries" true (s.Server.retries > 0);
+      let served, oracle = served_vs_oracle ~workers requests rs in
+      Alcotest.(check bool) "requests executed" true (served <> []);
       Alcotest.(check (list string))
         (Printf.sprintf "compiled = interpreted under faults at %d workers" workers)
-        (run ~workers ~compiled:false ())
-        (run ~workers ~compiled:true ()))
+        oracle served)
     [ 0; 1; 2; 4 ]
 
-(* Tiny compiled-program cache: constant eviction, still byte-identical. *)
+(* Tiny compiled-program cache: constant eviction, still byte-identical to
+   the interpreter. *)
 let test_compiled_cache_thrash_identical () =
   let model = Lazy.force model in
   let requests = exec_requests 30 47 in
@@ -939,6 +989,11 @@ let test_compiled_cache_thrash_identical () =
     let rs = Server.run_batch server requests in
     let s = Server.stats server in
     Server.shutdown server;
+    let served, oracle = served_vs_oracle ~workers:0 requests rs in
+    Alcotest.(check (list string))
+      (Printf.sprintf "compile cache capacity %d = interpreted"
+         compile_cache_capacity)
+      oracle served;
     (List.map exec_digest rs, s)
   in
   let roomy, _ = run ~compile_cache_capacity:64 () in
@@ -976,33 +1031,8 @@ let test_no_restringify_on_cache_hit () =
     (Printer.program_print_count () - before);
   Server.shutdown server
 
-(* --- batched predict path ---------------------------------------------------------- *)
-
-(* The batched engine path (one aligner pass over all distinct uncached
-   utterances) must be observationally identical to per-request processing:
-   responses byte for byte, cache flags included, sequential or pooled. *)
-let test_batched_predict_identical () =
-  let model = Lazy.force model in
-  let requests =
-    Traffic.generate ~rng:(Genie_util.Rng.create 31) ~utterances:utterances 40
-  in
-  let run ?(workers = 0) ~batched () =
-    let server = Server.create ~lib ~model ~workers () in
-    let rs = Server.run_batch ~batched server requests in
-    check_invariant server;
-    Server.shutdown server;
-    List.map digest rs
-  in
-  let reference = run ~batched:false () in
-  Alcotest.(check (list string)) "batched = unbatched (sequential)" reference
-    (run ~batched:true ());
-  Alcotest.(check (list string)) "batched = unbatched (pooled)" reference
-    (run ~workers:2 ~batched:true ())
-
 let suite =
   [ Alcotest.test_case "lru eviction order" `Quick test_lru_eviction_order;
-    Alcotest.test_case "batched predict = per-request" `Quick
-      test_batched_predict_identical;
     Alcotest.test_case "lru capacity 1" `Quick test_lru_capacity_one;
     Alcotest.test_case "lru capacity 0" `Quick test_lru_capacity_zero;
     Alcotest.test_case "cached = cold parse" `Quick test_cached_response_identical;
